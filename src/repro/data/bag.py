@@ -14,7 +14,7 @@ elements of other bags.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class Bag:
@@ -83,14 +83,9 @@ class Bag:
             return other
         if not other._counts:
             return self
-        counts = dict(self._counts)
-        for element, count in other._counts.items():
-            new_count = counts.get(element, 0) + count
-            if new_count == 0:
-                counts.pop(element, None)
-            else:
-                counts[element] = new_count
-        return Bag(counts)
+        merged = self._copy()
+        merged._absorb(other, None)
+        return merged
 
     def negate(self) -> "Bag":
         """Negate every multiplicity (the group inverse)."""
@@ -203,15 +198,19 @@ class Bag:
         # merge per occurrence; a group-provided bulk fold lets container
         # groups accumulate mutably instead of copying the partial per
         # element.  Empty/singleton bags (the per-step change shape) skip
-        # both: zero ⊕ scale(v, c) = scale(v, c) in any abelian group.
+        # the bulk fold.
         counts = self._counts
         if not counts:
             return group.zero
         scale = group.scale
         if len(counts) == 1:
             ((element, count),) = counts.items()
-            value = fn(element)
-            return value if count == 1 else scale(value, count)
+            if count == 1:
+                # zero ⊕ v, not v itself: a map group's merge drops the
+                # zero entries fn may produce (``singletonMap k 0``), as
+                # the bulk path and a plain merge fold do.
+                return group.merge(group.zero, fn(element))
+            return scale(fn(element), count)
         fold = getattr(group, "_fold", None)
         if fold is not None:
             return fold(
@@ -222,6 +221,42 @@ class Bag:
         for element, count in counts.items():
             result = merge(result, scale(fn(element), count))
         return result
+
+    # -- in-place absorption (owner only) ------------------------------------
+
+    def _copy(self) -> "Bag":
+        """A bag equal to this one with counts of its own, which the
+        caller owns and may ``_absorb`` into."""
+        return Bag(self._counts)
+
+    def _absorb(self, other: "Bag", undo: Optional[List[tuple]]) -> None:
+        """Merge ``other`` into this bag *in place*, touching only
+        ``other``'s elements, so the cost is O(|other|).
+
+        Bags are immutable to everyone else: only an owner holding the
+        sole reference (a fresh ``merge`` result, ``_LazyInput``'s
+        composed tail) may call this.  Unless ``undo`` is None, each
+        write is logged to it as ``(counts, element)`` for a new element
+        or ``(counts, element, old)`` otherwise, so the owner can roll
+        it back.  Zero counts are dropped, keeping the bag canonical.
+        """
+        if not isinstance(other, Bag):
+            raise TypeError(f"cannot merge Bag with {type(other).__name__}")
+        counts = self._counts
+        for element, count in other._counts.items():
+            old = counts.get(element)
+            if old is None:
+                if undo is not None:
+                    undo.append((counts, element))
+                counts[element] = count
+                continue
+            if undo is not None:
+                undo.append((counts, element, old))
+            if old + count:
+                counts[element] = old + count
+            else:
+                del counts[element]
+        self._hash = None
 
     # -- object protocol -----------------------------------------------------
 

@@ -24,7 +24,9 @@ class AbelianGroup:
     ``map_group(INT_ADD_GROUP)`` built twice is a single logical group.
     """
 
-    __slots__ = ("name", "merge", "inverse", "zero", "_args", "_scale", "_fold")
+    __slots__ = (
+        "name", "merge", "inverse", "zero", "_args", "_scale", "_fold", "_absorb",
+    )
 
     def __init__(
         self,
@@ -35,6 +37,7 @@ class AbelianGroup:
         args: tuple = (),
         scale: Callable[[Any, int], Any] | None = None,
         fold: Callable[[Iterable[Any]], Any] | None = None,
+        absorb: Callable[[Any, Any, list | None], None] | None = None,
     ):
         self.name = name
         self.merge = merge
@@ -43,6 +46,11 @@ class AbelianGroup:
         self._args = args
         self._scale = scale
         self._fold = fold
+        #: ``absorb(target, delta, undo)`` merges ``delta`` into a
+        #: ``target`` its caller owns, in place, logging each write to
+        #: ``undo`` unless it is None (see ``Bag._absorb``); None for
+        #: groups without mutable containers as elements.
+        self._absorb = absorb
 
     @property
     def args(self) -> tuple:
@@ -164,6 +172,7 @@ def _bag_group() -> AbelianGroup:
             {element: count * n for element, count in a.counts()}
         ),
         fold=fold,
+        absorb=lambda bag, delta, undo: bag._absorb(delta, undo),
     )
 
 
@@ -202,6 +211,7 @@ def map_group(value_group: AbelianGroup) -> AbelianGroup:
         zero=PMap.empty(),
         args=(value_group,),
         fold=fold,
+        absorb=lambda pmap, delta, undo: pmap._absorb(delta, value_group, undo),
     )
 
 

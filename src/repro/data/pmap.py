@@ -8,7 +8,7 @@ zero are dropped so the zero map stays canonical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class PMap:
@@ -108,9 +108,8 @@ class PMap:
         """
         if not isinstance(other, PMap):
             raise TypeError(f"cannot merge PMap with {type(other).__name__}")
-        # Only keys touched by ``other`` can change, so cost is
-        # O(len(other)), not O(len(self)) -- essential for incremental
-        # updates where ``other`` is a small change.
+        # Persistent: copies ``self``, so the cost is O(len(self)).  The
+        # engine's pending-change log avoids that copy with ``_absorb``.
         entries = dict(self._entries)
         for key, value in other._entries.items():
             if key in entries:
@@ -122,6 +121,45 @@ class PMap:
             elif not value_group.is_zero(value):
                 entries[key] = value
         return PMap(entries)
+
+    def _copy(self) -> "PMap":
+        """A map equal to this one with entries of its own, which the
+        caller owns and may ``_absorb`` into."""
+        return PMap(self._entries)
+
+    def _absorb(
+        self, other: "PMap", value_group: Any, undo: Optional[List[tuple]]
+    ) -> None:
+        """``merged_with`` *in place*: only ``other``'s keys are touched,
+        so the cost is O(|other|) rather than O(|self|).
+
+        Maps are immutable to everyone else: only an owner holding the
+        sole reference (``_LazyInput``'s composed tail) may call this.
+        Values are replaced, never mutated, so values shared with
+        ``other`` stay safe.  Unless ``undo`` is None, each write is
+        logged to it as ``(entries, key)`` for a new key or
+        ``(entries, key, old)`` otherwise, so the owner can roll it back.
+        """
+        if not isinstance(other, PMap):
+            raise TypeError(f"cannot merge PMap with {type(other).__name__}")
+        entries = self._entries
+        merge = value_group.merge
+        is_zero = value_group.is_zero
+        for key, value in other._entries.items():
+            if key in entries:
+                old = entries[key]
+                merged = merge(old, value)
+                if undo is not None:
+                    undo.append((entries, key, old))
+                if is_zero(merged):
+                    del entries[key]
+                else:
+                    entries[key] = merged
+            elif not is_zero(value):
+                if undo is not None:
+                    undo.append((entries, key))
+                entries[key] = value
+        self._hash = None
 
     def normalized(self, value_group: Any) -> "PMap":
         """Drop entries equal to the inner group's zero."""

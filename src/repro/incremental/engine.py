@@ -24,7 +24,13 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.compile import compile_value
-from repro.data.change_values import change_size, compose_changes, oplus_value
+from repro.data.change_values import (
+    _COMPOSE_COUNTER,
+    GroupChange,
+    change_size,
+    compose_changes,
+    oplus_value,
+)
 from repro.derive.derive import derive_program
 from repro.errors import DerivativeError, InvalidChangeError
 from repro.lang.infer import infer_type
@@ -50,6 +56,15 @@ class _LazyInput:
     Python stack).  While the log is unfolded, a self-maintainable
     derivative pays nothing for input advancement beyond an append.
 
+    Pending changes are composed into the log's unfolded tail (the
+    change-composition monoid), *in place* where the group allows it:
+    the first composition copies the tail into a delta this queue owns,
+    and later pushes of the same group ``_absorb`` into it, touching
+    only the pushed change's keys.  A push therefore costs O(|dv|) no
+    matter how large the pending delta has grown, and no pushed change
+    is ever mutated.  A tail that ``current()`` has folded may be
+    shared with the folded value, so it is never mutated again.
+
     The folded prefix is *cached*: ``_value`` always reflects the first
     ``_folded`` log entries, so repeated ``current()`` calls between
     steps (recompute baselines, verifiers, drift detectors) fold each
@@ -69,6 +84,8 @@ class _LazyInput:
         "_value",
         "_changes",
         "_folded",
+        "_owned",
+        "_undo",
         "advances",
         "materializations",
         "folds",
@@ -78,29 +95,65 @@ class _LazyInput:
         self._value = value
         self._changes: List[Any] = []
         self._folded = 0
+        #: True while the unfolded tail is a ``GroupChange`` whose delta
+        #: this queue created and may absorb into.
+        self._owned = False
+        #: Writes to the owned tail since ``snapshot()`` (None when no
+        #: snapshot is open), replayed backwards by ``restore()``.
+        self._undo: Optional[List[tuple]] = None
         self.advances = 0
         self.materializations = 0
         self.folds = 0
-
-    #: Above this accumulated-delta size, queue instead of composing:
-    #: composition copies the accumulated delta, so composing into an
-    #: ever-growing delta would make pushes O(total changes so far).
-    _COMPOSE_CAP = 4096
 
     def push(self, change: Any) -> None:
         self.advances += 1
         changes = self._changes
         # Only an *unfolded* tail entry may absorb the new change:
         # folded entries are already reflected in ``_value``.
-        if (
-            len(changes) > self._folded
-            and _delta_size(changes[-1]) <= self._COMPOSE_CAP
-        ):
-            composed = compose_changes(changes[-1], change)
+        if len(changes) > self._folded:
+            tail = changes[-1]
+            if self._absorb(tail, change):
+                return
+            composed = compose_changes(tail, change)
             if composed is not None:
                 changes[-1] = composed
+                self._owned = False
                 return
         changes.append(change)
+        self._owned = False
+
+    def _absorb(self, tail: Any, change: Any) -> bool:
+        """Compose ``change`` into ``tail`` in place when both are
+        changes of one group with an ``absorb`` hook; False otherwise."""
+        if not (
+            isinstance(tail, GroupChange)
+            and isinstance(change, GroupChange)
+            and tail.group._absorb is not None
+            and (change.group is tail.group or change.group == tail.group)
+        ):
+            return False
+        if _STATE.on:
+            # An in-place absorb is a change composition and counts as one.
+            _COMPOSE_COUNTER.inc()
+        if not self._owned:
+            # The first composition takes ownership with a copy: the tail
+            # may be the caller's change, or a composition that returned
+            # one of its operands unchanged.  The copy is fresh, so its
+            # writes need no undo entries.
+            owned = GroupChange(tail.group, tail.delta._copy())
+            tail.group._absorb(owned.delta, change.delta, None)
+            self._changes[-1] = owned
+            self._owned = True
+            return True
+        undo = self._undo if self._undo is not None else []
+        mark = len(undo)
+        try:
+            tail.group._absorb(tail.delta, change.delta, undo)
+        except BaseException:
+            # A failing push leaves the tail as it found it.
+            _replay(undo, mark)
+            raise
+        return True
 
     def current(self) -> Any:
         value = force(self._value)
@@ -122,49 +175,59 @@ class _LazyInput:
 
     # -- transactional support ---------------------------------------------
 
-    def snapshot(self) -> Tuple[Any, int, Any, int, int]:
+    def snapshot(self) -> Tuple[Any, int, Any, bool, int, int]:
         """Capture enough state to undo pushes/folds done after this point.
 
-        Values are persistent (bags, maps, tuples) and folding is a pure
-        optimization, so the snapshot is O(1): the cached value
-        reference, the log length, the (immutable) tail entry -- a later
-        ``push`` may replace the tail slot with a composed change -- and
-        the counters.  The already-folded prefix is compacted away first
-        so the log length alone pins the unfolded suffix.
+        Folding is a pure optimization over persistent values, and the
+        only mutation -- absorbing into the owned tail -- is logged, so
+        the snapshot is O(1) and opens an undo log that grows by O(|dv|)
+        per push: the cached value reference, the log length, the tail
+        entry (a later ``push`` may replace the tail slot), its
+        ownership and the counters.  The already-folded prefix is
+        compacted away first so the log length alone pins the unfolded
+        suffix.
         """
         if self._folded:
             del self._changes[: self._folded]
             self._folded = 0
+        self._undo = []
         changes = self._changes
         return (
             self._value,
             len(changes),
             changes[-1] if changes else None,
+            self._owned,
             self.advances,
             self.materializations,
         )
 
-    def restore(self, snapshot: Tuple[Any, int, Any, int, int]) -> None:
-        value, length, tail, self.advances, self.materializations = snapshot
+    def restore(self, snapshot: Tuple[Any, int, Any, bool, int, int]) -> None:
+        value, length, tail, owned, self.advances, self.materializations = (
+            snapshot
+        )
+        if self._undo:
+            _replay(self._undo, 0)
+        self._undo = None
         self._value = value
         del self._changes[length:]
         if length:
             self._changes[length - 1] = tail
+        # A tail folded since the snapshot may be shared with the folded
+        # value, so it is no longer ours to mutate.
+        self._owned = owned and not self._folded
         self._folded = 0
 
 
-def _delta_size(change: Any) -> int:
-    """A cheap size estimate of a change's payload (0 when scalar or
-    unknown, so unknown kinds still compose)."""
-    from repro.data.bag import Bag
-    from repro.data.change_values import GroupChange
-    from repro.data.pmap import PMap
-
-    if isinstance(change, GroupChange):
-        delta = change.delta
-        if isinstance(delta, (Bag, PMap)):
-            return len(delta)
-    return 0
+def _replay(undo: List[tuple], mark: int) -> None:
+    """Undo the writes logged in ``undo[mark:]``, newest first, and drop
+    them from the log (see ``Bag._absorb`` for the entry format)."""
+    for index in range(len(undo) - 1, mark - 1, -1):
+        entry = undo[index]
+        if len(entry) == 2:
+            del entry[0][entry[1]]
+        else:
+            entry[0][entry[1]] = entry[2]
+    del undo[mark:]
 
 
 #: Recognized evaluation backends: ``compiled`` stages terms into plain

@@ -67,9 +67,10 @@ class Histogram:
 
     Aggregates (count/total/min/max) are exact; percentiles come from a
     :class:`~repro.observability.quantiles.QuantileSketch` -- exact for
-    short streams, P²-estimated (O(1) memory) once the stream outgrows
-    the sketch's buffer.  The tracked quantiles (p50/p90/p99/p999) are
-    what the SLO layer and the dashboard read.
+    short streams, then log buckets with 1% relative error (O(1) per
+    record) once the stream outgrows the sketch's buffer.  The tracked
+    quantiles (p50/p90/p99/p999) are what the SLO layer and the
+    dashboard read.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "sketch")

@@ -2,24 +2,28 @@
 
 The SLO layer asks questions about *tails* -- "does p99 step latency
 stay under budget?" -- and tails are exactly what count/total/min/max
-summaries cannot answer.  This module provides the percentile engine:
+summaries cannot answer.  :class:`QuantileSketch` is the percentile
+engine:
 
-* :class:`P2Quantile` -- the P² algorithm (Jain & Chlamtac, CACM 1985):
-  a single-quantile estimator holding five markers, O(1) memory and
-  O(1) per observation, no buckets to pre-size;
-* :class:`QuantileSketch` -- a fixed set of tracked quantiles that is
-  *exact* while the sample count is small (all samples kept and sorted
-  on demand) and switches to the P² markers once the stream outgrows
-  the exact buffer.  Small runs -- tests, ``--quick`` benches, short
-  traces -- therefore report true percentiles, while unbounded
-  production streams stay O(1) per quantile.
+* *exact* while the sample count is small (all samples kept and sorted
+  on demand), so tests, ``--quick`` benches and short traces report
+  true percentiles;
+* beyond that, a deterministic log-bucket sketch: each value lands in
+  the bucket ``ceil(log_γ |v|)`` with ``γ = (1 + α) / (1 − α)``, and a
+  quantile read walks the buckets in order and answers with the
+  bucket's midpoint ``2γⁱ / (γ + 1)``, which is within a relative error
+  ``α = RELATIVE_ERROR`` (1%) of every value in the bucket.  Recording
+  is O(1) (one logarithm, one dict update); the bucket count grows with
+  the logarithm of the value range, not with the sample count.  Zeros
+  are counted apart and negatives mirror the positives.
 
-Estimates are deterministic functions of the observation sequence (no
+Estimates are deterministic functions of the observation multiset (no
 randomized sampling), which keeps seeded traffic runs byte-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: The quantiles every latency sketch tracks by default.
@@ -50,110 +54,31 @@ def exact_quantile(ordered: Sequence[float], q: float) -> float:
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
-class P2Quantile:
-    """One quantile, estimated with the P² five-marker algorithm.
-
-    Exact until five observations have arrived; after that the markers
-    track the quantile with piecewise-parabolic height adjustment.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        # 1. Find the cell the observation falls into and bump the
-        #    marker positions above it.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._rates[index]
-        # 2. Nudge the three interior markers toward their desired
-        #    positions, adjusting heights parabolically.
-        for index in range(1, 4):
-            drift = self._desired[index] - positions[index]
-            if (drift >= 1.0 and positions[index + 1] - positions[index] > 1.0) or (
-                drift <= -1.0 and positions[index - 1] - positions[index] < -1.0
-            ):
-                direction = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, direction)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, direction)
-                positions[index] += direction
-
-    def _parabolic(self, index: int, direction: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        below = positions[index] - positions[index - 1]
-        above = positions[index + 1] - positions[index]
-        span = positions[index + 1] - positions[index - 1]
-        return heights[index] + direction / span * (
-            (below + direction)
-            * (heights[index + 1] - heights[index])
-            / above
-            + (above - direction)
-            * (heights[index] - heights[index - 1])
-            / below
-        )
-
-    def _linear(self, index: int, direction: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        step = int(direction)
-        return heights[index] + direction * (
-            heights[index + step] - heights[index]
-        ) / (positions[index + step] - positions[index])
-
-    def value(self) -> Optional[float]:
-        """The current estimate (exact below five observations)."""
-        if self.count == 0:
-            return None
-        if self.count <= 5:
-            return exact_quantile(self._heights, self.q)
-        return self._heights[2]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"P2Quantile(q={self.q}, n={self.count}, est={self.value()})"
+#: The bucket sketch's bound on the relative error of a quantile.
+RELATIVE_ERROR = 0.01
+_GAMMA = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Bucket ``i`` covers magnitudes ``(γⁱ⁻¹, γⁱ]`` and answers with
+#: ``γⁱ · 2 / (γ + 1)``, within ``RELATIVE_ERROR`` of both ends.
+_MIDPOINT = 2.0 / (_GAMMA + 1.0)
 
 
 class QuantileSketch:
-    """A fixed family of quantiles over one value stream.
+    """Quantiles over one value stream: exact while small, then a
+    log-bucket sketch with relative error at most ``RELATIVE_ERROR``.
 
-    Every observation feeds both an exact buffer (up to ``exact_limit``
-    samples) and one :class:`P2Quantile` per tracked quantile.  While
-    the stream fits the buffer, *any* quantile is answered exactly;
-    beyond it, the tracked quantiles answer from their P² markers and
-    the buffer is dropped.
+    The first ``exact_limit`` samples are buffered; while the stream
+    fits the buffer, *any* quantile is answered exactly.  Once it
+    outgrows the buffer, the samples move into the buckets and every
+    later observation costs one bucket increment.  Quantiles are
+    computed on read, for any ``q`` in [0, 1]; ``quantiles`` only names
+    the ones ``summary()`` reports.
     """
 
-    __slots__ = ("quantiles", "count", "_estimators", "_exact", "_exact_limit")
+    __slots__ = (
+        "quantiles", "count", "_exact", "_exact_limit",
+        "_positive", "_negative", "_zeros",
+    )
 
     def __init__(
         self,
@@ -161,32 +86,74 @@ class QuantileSketch:
         exact_limit: int = 512,
     ):
         self.quantiles: Tuple[float, ...] = tuple(quantiles)
-        self.count = 0
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
-        self._exact: Optional[List[float]] = []
         self._exact_limit = exact_limit
+        self.reset()
 
     def record(self, value: float) -> None:
         self.count += 1
-        for estimator in self._estimators.values():
-            estimator.record(value)
-        if self._exact is not None:
-            self._exact.append(value)
-            if len(self._exact) > self._exact_limit:
-                self._exact = None  # outgrown: markers take over
+        exact = self._exact
+        if exact is None:
+            self._add(value)
+            return
+        exact.append(value)
+        if len(exact) > self._exact_limit:
+            self._exact = None  # outgrown: the buckets take over
+            for sample in exact:
+                self._add(sample)
+
+    def _add(self, value: float) -> None:
+        if value > 0.0:
+            buckets = self._positive
+        elif value < 0.0:
+            buckets = self._negative
+            value = -value
+        else:
+            self._zeros += 1
+            return
+        index = math.ceil(math.log(value) / _LOG_GAMMA)
+        buckets[index] = buckets.get(index, 0) + 1
+
+    def _ranked(self) -> List[Tuple[float, int]]:
+        """``(estimate, count)`` per non-empty bucket, in value order."""
+        ranked = [
+            (-_MIDPOINT * _GAMMA ** index, count)
+            for index, count in sorted(self._negative.items(), reverse=True)
+        ]
+        if self._zeros:
+            ranked.append((0.0, self._zeros))
+        ranked.extend(
+            (_MIDPOINT * _GAMMA ** index, count)
+            for index, count in sorted(self._positive.items())
+        )
+        return ranked
 
     def quantile(self, q: float) -> Optional[float]:
         """The ``q``-quantile estimate; None while empty.
 
-        Exact whenever the stream still fits the exact buffer (any
-        ``q``); otherwise answered by the tracked P² estimator --
-        untracked quantiles then raise ``KeyError``.
+        Exact while the stream still fits the exact buffer; afterwards
+        the bucket estimates of the two closest ranks are interpolated
+        as :func:`exact_quantile` interpolates the samples, so the
+        answer stays within ``RELATIVE_ERROR`` of the exact quantile of
+        same-signed samples.
         """
         if self.count == 0:
             return None
         if self._exact is not None:
             return exact_quantile(sorted(self._exact), q)
-        return self._estimators[q].value()
+        position = q * (self.count - 1)
+        low = int(position)
+        high = min(low + 1, self.count - 1)
+        fraction = position - low
+        low_value = high_value = None
+        seen = 0
+        for estimate, count in self._ranked():
+            seen += count
+            if low_value is None and low < seen:
+                low_value = estimate
+            if high < seen:
+                high_value = estimate
+                break
+        return low_value * (1.0 - fraction) + high_value * fraction
 
     @property
     def is_exact(self) -> bool:
@@ -200,19 +167,21 @@ class QuantileSketch:
 
     def reset(self) -> None:
         self.count = 0
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
-        self._exact = []
+        self._exact: Optional[List[float]] = []
+        self._positive: Dict[int, int] = {}
+        self._negative: Dict[int, int] = {}
+        self._zeros = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuantileSketch(n={self.count}, "
-            f"{'exact' if self.is_exact else 'p2'}, {self.summary()})"
+            f"{'exact' if self.is_exact else 'buckets'}, {self.summary()})"
         )
 
 
 __all__ = [
     "DEFAULT_QUANTILES",
-    "P2Quantile",
+    "RELATIVE_ERROR",
     "QuantileSketch",
     "exact_quantile",
     "quantile_key",

@@ -8,7 +8,7 @@ validation + journaling + the engine, and how often the stack raises.
 that boundary:
 
 * ``stack.step.wall_time_s`` -- end-to-end step latency histogram
-  (quantiles come free via the P² sketch);
+  (quantiles come free via the bucket sketch);
 * ``stack.steps`` / ``stack.batches`` / ``stack.batch_rows`` --
   throughput counters;
 * ``stack.errors`` -- raises escaping the stack, labelled per error

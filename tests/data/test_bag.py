@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data.bag import Bag
-from repro.data.group import BAG_GROUP, INT_ADD_GROUP
+from repro.data.group import AbelianGroup, BAG_GROUP, INT_ADD_GROUP, map_group
+from repro.data.pmap import PMap
 
 from tests.strategies import bags_of_ints
 
@@ -138,6 +140,94 @@ class TestStructureOps:
         # foldBag g f (merge a b) = foldBag g f a • foldBag g f b.
         fold = lambda bag: bag.fold_group(INT_ADD_GROUP, lambda x: x * x)
         assert fold(left.merge(right)) == fold(left) + fold(right)
+
+
+MAP_OF_INTS = map_group(INT_ADD_GROUP)
+MAP_OF_MAPS_OF_BAGS = map_group(map_group(BAG_GROUP))
+
+
+def without_bulk_fold(group):
+    """The same group with ``fold_group``'s bulk path switched off."""
+    return AbelianGroup(
+        group.name, group.merge, group.inverse, group.zero, args=group.args
+    )
+
+
+def reference_fold(bag, group, fn):
+    """``foldBag``'s defining equations, one plain ``merge`` per
+    occurrence: no singleton fast path, no ``scale``, no bulk fold."""
+    result = group.zero
+    for element, count in bag.counts():
+        image = fn(element) if count > 0 else group.inverse(fn(element))
+        for _ in range(abs(count)):
+            result = group.merge(result, image)
+    return result
+
+
+elements = st.integers(min_value=0, max_value=3)
+fold_bags = st.dictionaries(
+    elements,
+    st.integers(min_value=-3, max_value=3).filter(lambda count: count != 0),
+    max_size=4,
+).map(Bag)
+#: ``singletonMap k 0``-style images: zero values at the top level.
+int_map_images = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+    max_size=3,
+).map(PMap)
+#: Maps of maps of bags whose inner levels are canonical, but whose
+#: top level may hold the inner group's zero (an empty inner map).
+nonempty_bags = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-2, max_value=2).filter(lambda count: count != 0),
+    min_size=1,
+    max_size=2,
+).map(Bag)
+nested_map_images = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=2), nonempty_bags, max_size=2
+    ).map(PMap),
+    max_size=3,
+).map(PMap)
+
+
+class TestFoldGroupPaths:
+    """``fold_group``'s singleton fast path, ``scale`` and bulk fold
+    all agree with a plain ``merge`` fold, on nested groups."""
+
+    @given(fold_bags, st.lists(int_map_images, min_size=4, max_size=4))
+    def test_map_of_ints(self, bag, images):
+        self.check(bag, MAP_OF_INTS, images.__getitem__)
+
+    @given(fold_bags, st.lists(nested_map_images, min_size=4, max_size=4))
+    def test_map_of_maps_of_bags(self, bag, images):
+        self.check(bag, MAP_OF_MAPS_OF_BAGS, images.__getitem__)
+
+    @given(elements, st.integers(min_value=-3, max_value=3), nested_map_images)
+    def test_singleton_bags(self, element, count, image):
+        bag = Bag({element: count})
+        self.check(bag, MAP_OF_MAPS_OF_BAGS, lambda _: image)
+
+    def test_singleton_zero_entry_is_dropped(self):
+        # singletonMap 0 0 summed over a one-row table.
+        folded = Bag.of((0, 0)).fold_group(
+            MAP_OF_INTS, lambda row: PMap.singleton(row[0], row[1])
+        )
+        assert folded == PMap.empty()
+
+    @staticmethod
+    def check(bag, group, fn):
+        expected = reference_fold(bag, group, fn)
+        assert bag.fold_group(group, fn) == expected
+        assert bag.fold_group(without_bulk_fold(group), fn) == expected
+
+    @given(nested_map_images, st.integers(min_value=-4, max_value=4))
+    def test_scale_equals_repeated_merge(self, value, count):
+        group = MAP_OF_MAPS_OF_BAGS
+        expected = reference_fold(Bag({0: count}), group, lambda _: value)
+        assert group.scale(value, count) == expected
 
 
 class TestObjectProtocol:

@@ -1,4 +1,4 @@
-"""Tests for the streaming quantile engine (P² + exact hybrid)."""
+"""Tests for the streaming quantile engine (exact buffer + log buckets)."""
 
 import random
 import statistics
@@ -8,7 +8,7 @@ import pytest
 from repro.observability.metrics import Histogram, MetricsRegistry
 from repro.observability.quantiles import (
     DEFAULT_QUANTILES,
-    P2Quantile,
+    RELATIVE_ERROR,
     QuantileSketch,
     exact_quantile,
     quantile_key,
@@ -37,26 +37,6 @@ class TestQuantileKey:
         assert quantile_key(0.999) == "p999"
 
 
-class TestP2Quantile:
-    def test_exact_below_five_observations(self):
-        estimator = P2Quantile(0.5)
-        for value in (3.0, 1.0, 2.0):
-            estimator.record(value)
-        assert estimator.value() == 2.0
-
-    def test_empty(self):
-        assert P2Quantile(0.5).value() is None
-
-    def test_converges_on_uniform(self):
-        rng = random.Random(11)
-        estimator = P2Quantile(0.9)
-        data = [rng.random() for _ in range(20_000)]
-        for value in data:
-            estimator.record(value)
-        exact = exact_quantile(sorted(data), 0.9)
-        assert estimator.value() == pytest.approx(exact, rel=0.05)
-
-
 class TestQuantileSketch:
     def test_exact_under_limit(self):
         rng = random.Random(3)
@@ -79,13 +59,32 @@ class TestQuantileSketch:
             sketch.record(value)
         assert not sketch.is_exact
         ordered = sorted(data)
-        # P² keeps the body tight; the extreme tail is approximate.
         assert sketch.quantile(0.5) == pytest.approx(
             exact_quantile(ordered, 0.5), rel=0.05
         )
         assert sketch.quantile(0.99) == pytest.approx(
             exact_quantile(ordered, 0.99), rel=0.25
         )
+
+    def test_untracked_quantiles_answer_from_buckets(self):
+        sketch = QuantileSketch(quantiles=(0.5,), exact_limit=8)
+        data = [float(value) for value in range(1, 1001)]
+        for value in data:
+            sketch.record(value)
+        assert sketch.quantile(0.25) == pytest.approx(
+            exact_quantile(data, 0.25), rel=RELATIVE_ERROR
+        )
+        assert sketch.quantile(0.0) == pytest.approx(1.0, rel=RELATIVE_ERROR)
+        assert sketch.quantile(1.0) == pytest.approx(1000.0, rel=RELATIVE_ERROR)
+
+    def test_negative_values_mirror_positive(self):
+        sketch = QuantileSketch(exact_limit=0)
+        data = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        for value in data:
+            sketch.record(value)
+        assert sketch.quantile(0.0) == pytest.approx(-3.0, rel=RELATIVE_ERROR)
+        assert sketch.quantile(0.5) == 0.0
+        assert sketch.quantile(1.0) == pytest.approx(3.0, rel=RELATIVE_ERROR)
 
     def test_summary_keys(self):
         sketch = QuantileSketch()
@@ -104,6 +103,61 @@ class TestQuantileSketch:
         sketch.record(1.0)
         sketch.reset()
         assert sketch.quantile(0.5) is None
+
+
+def _lognormal(rng):
+    return rng.lognormvariate(-9.0, 1.5)
+
+
+def _uniform(rng):
+    return rng.uniform(0.0, 1.0)
+
+
+def _heavy_tailed(rng):
+    return rng.paretovariate(1.1)
+
+
+class TestBucketAccuracy:
+    """Past the exact buffer every reported quantile stays within
+    ``RELATIVE_ERROR`` of the exact one, body and tail alike."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [_lognormal, _uniform, _heavy_tailed],
+        ids=["lognormal", "uniform", "heavy_tailed"],
+    )
+    def test_within_relative_error_on_100k_samples(self, draw):
+        rng = random.Random(17)
+        # One sample in twenty is an exact zero (an empty change, a
+        # no-op step) so the zero bucket is exercised too.
+        data = [
+            0.0 if rng.random() < 0.05 else draw(rng) for _ in range(100_000)
+        ]
+        sketch = QuantileSketch()
+        for value in data:
+            sketch.record(value)
+        assert not sketch.is_exact
+        ordered = sorted(data)
+        for q in DEFAULT_QUANTILES:
+            assert sketch.quantile(q) == pytest.approx(
+                exact_quantile(ordered, q), rel=RELATIVE_ERROR
+            ), q
+
+    def test_all_zero_stream(self):
+        sketch = QuantileSketch(exact_limit=4)
+        for _ in range(100):
+            sketch.record(0.0)
+        assert set(sketch.summary().values()) == {0.0}
+
+    def test_bucket_count_is_bounded_by_value_range(self):
+        """The bucket count grows with the logarithm of the value range
+        (about 800 buckets span 1 µs to 10 s), not with the number of
+        samples."""
+        rng = random.Random(2)
+        sketch = QuantileSketch(exact_limit=0)
+        for _ in range(100_000):
+            sketch.record(rng.uniform(1e-6, 10.0))
+        assert len(sketch._positive) < 900
 
 
 class TestHistogramQuantiles:
