@@ -75,16 +75,17 @@ class KeywiseMapChangeStructure(ChangeStructure):
 
     def oplus(self, value: Any, change: Any) -> Any:
         updates, insertions = change
-        result = value
+        # One copy per change, then writes to the copy this call owns.
+        result = value._copy()
+        entries = result._entries
         for key, value_change in updates.items():
             if value_change is self.REMOVE:
-                result = result.remove(key)
+                entries.pop(key, None)
             else:
-                result = result.set(
-                    key, self.value_changes.oplus(value[key], value_change)
+                entries[key] = self.value_changes.oplus(
+                    value[key], value_change
                 )
-        for key, inserted in insertions.items():
-            result = result.set(key, inserted)
+        entries.update(insertions)
         return result
 
     def ominus(self, new: Any, old: Any) -> Any:

@@ -17,6 +17,7 @@ from repro.changes.laws import (
     check_nil_behavior,
 )
 from repro.data.group import INT_ADD_GROUP
+from repro.data.pmap import PMap
 
 from tests.strategies import bags_of_ints, maps_int_int, small_ints
 
@@ -83,6 +84,44 @@ def test_map_group_laws(new, old):
 def test_keywise_map_laws(new, old):
     check_change_structure_laws(KEYWISE_CHANGES, new, old)
     check_nil_behavior(KEYWISE_CHANGES, old)
+
+
+@st.composite
+def keywise_edits(draw):
+    """``(old, new)`` where ``new ⊖ old`` removes at least one key,
+    updates the others and may insert fresh keys."""
+    old = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=9), small_ints,
+            min_size=2, max_size=8,
+        )
+    )
+    keys = sorted(old)
+    removed = draw(st.sets(st.sampled_from(keys), min_size=1))
+    new = {
+        key: draw(small_ints) for key in keys if key not in removed
+    }
+    new.update(
+        draw(
+            st.dictionaries(
+                st.integers(min_value=10, max_value=14), small_ints,
+                max_size=3,
+            )
+        )
+    )
+    return PMap(new), PMap(old)
+
+
+@given(keywise_edits())
+def test_keywise_map_laws_multi_key_removals(edit):
+    new, old = edit
+    held = PMap(dict(old.items()))
+    updates, insertions = KEYWISE_CHANGES.ominus(new, old)
+    assert len(updates) + len(insertions) >= 2
+    assert KeywiseMapChangeStructure.REMOVE in updates.values()
+    check_change_structure_laws(KEYWISE_CHANGES, new, old)
+    # ⊕ writes to a copy of its own: the value it was given is unchanged.
+    assert old == held
 
 
 @given(

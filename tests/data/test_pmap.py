@@ -2,12 +2,78 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data.bag import Bag
 from repro.data.group import BAG_GROUP, INT_ADD_GROUP, map_group
 from repro.data.pmap import PMap
 
 from tests.strategies import maps_int_int
+
+
+int_values = st.integers(min_value=-3, max_value=3).filter(
+    lambda value: value != 0
+)
+bag_values = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-2, max_value=2).filter(lambda count: count != 0),
+    min_size=1,
+    max_size=3,
+).map(Bag)
+map_of_bag_values = st.dictionaries(
+    st.integers(min_value=0, max_value=2), bag_values, min_size=1, max_size=2
+).map(PMap)
+#: name -> (value group, strategy of its canonical non-zero values)
+VALUE_GROUPS = {
+    "int": (INT_ADD_GROUP, int_values),
+    "bag": (BAG_GROUP, bag_values),
+    "map_of_bags": (map_group(BAG_GROUP), map_of_bag_values),
+}
+
+
+def to_plain(value):
+    """A deep plain-Python copy: ints stay ints, bags and maps become
+    dicts (element -> count, key -> plain value)."""
+    if isinstance(value, PMap):
+        return {key: to_plain(entry) for key, entry in value.items()}
+    if isinstance(value, Bag):
+        return dict(value.counts())
+    return value
+
+
+def plain_merge(left, right):
+    """The reference ⊕ on plain values: ints add, dicts merge pointwise
+    and drop the entries that reach zero (``0`` or ``{}``)."""
+    if isinstance(left, int):
+        return left + right
+    result = dict(left)
+    for key, value in right.items():
+        merged = plain_merge(result[key], value) if key in result else value
+        if merged == 0 or merged == {}:
+            result.pop(key, None)
+        else:
+            result[key] = merged
+    return result
+
+
+def draw_keys(data, mapping):
+    """A subset of ``mapping``'s keys."""
+    if not mapping:
+        return set()
+    return data.draw(st.sets(st.sampled_from(sorted(mapping.keys()))))
+
+
+def draw_map(data, group, values):
+    """A canonical map built by merging in the inverse of a subset of its
+    entries, so that its dict may hold deleted slots."""
+    entries = data.draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=7), values, max_size=8
+        )
+    )
+    dropped = draw_keys(data, entries)
+    inverse = PMap({key: group.inverse(entries[key]) for key in dropped})
+    return PMap(entries).merged_with(inverse, group)
 
 
 class TestConstruction:
@@ -106,6 +172,30 @@ class TestGroupStructure:
     def test_inverse(self, mapping):
         group = map_group(INT_ADD_GROUP)
         assert group.merge(mapping, group.inverse(mapping)) == PMap.empty()
+
+    @pytest.mark.parametrize("name", sorted(VALUE_GROUPS))
+    @given(data=st.data())
+    def test_merged_with_matches_plain_dict_reference(self, name, data):
+        group, values = VALUE_GROUPS[name]
+        left = draw_map(data, group, values)
+        right = draw_map(data, group, values)
+        # Cancel some of ``left``'s entries, so the merge deletes keys
+        # from its clone.
+        cancelled = draw_keys(data, left)
+        right = PMap(
+            {
+                **dict(right.items()),
+                **{key: group.inverse(left[key]) for key in cancelled},
+            }
+        )
+        left_before, right_before = to_plain(left), to_plain(right)
+
+        merged = left.merged_with(right, group)
+
+        assert to_plain(merged) == plain_merge(left_before, right_before)
+        assert not any(group.is_zero(value) for value in merged.values())
+        assert to_plain(left) == left_before
+        assert to_plain(right) == right_before
 
     def test_normalized(self):
         mapping = PMap.of(a=0, b=1)

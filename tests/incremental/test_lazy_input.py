@@ -436,3 +436,25 @@ class TestEngines:
             live.step(*row)
         assert live.verify()
         assert (singles, batches) == copies
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_held_outputs_never_change(self, engine, program, data):
+        # A reader may hold any output it was served; a later step must
+        # build a new output, not rewrite the one the reader holds.
+        rows = PROGRAMS[program][2]
+        singles = data.draw(st.lists(rows, max_size=6))
+        batches = data.draw(
+            st.lists(st.lists(rows, min_size=1, max_size=4), max_size=3)
+        )
+        live = engine_program(engine, program)
+        held = [(live.output, copy.deepcopy(live.output))]
+        for row in singles:
+            live.step(*row)
+            held.append((live.output, copy.deepcopy(live.output)))
+        for batch in batches:
+            live.step_batch(batch)
+            held.append((live.output, copy.deepcopy(live.output)))
+        assert live.verify()
+        for output, snapshot in held:
+            assert output == snapshot
